@@ -61,18 +61,6 @@ pub struct StoreStats {
     pub bytes_read: AtomicU64,
     /// Bytes written back to client connections.
     pub bytes_written: AtomicU64,
-    /// Key lookups served from a hot shard's read replica instead of the
-    /// shard mutex.
-    pub replica_reads: AtomicU64,
-    /// Flat-combining batches applied (each batch = one primary-shard
-    /// lock acquisition covering every drained write).
-    pub combiner_batches: AtomicU64,
-    /// Operations appended to hot-shard operation logs.
-    pub log_appends: AtomicU64,
-    /// Shards promoted to replicated "hot" mode.
-    pub hot_promotions: AtomicU64,
-    /// Hot shards demoted back to the plain mutex path.
-    pub hot_demotions: AtomicU64,
 }
 
 /// A plain-data snapshot of [`StoreStats`].
@@ -114,16 +102,6 @@ pub struct StatsSnapshot {
     pub bytes_read: u64,
     /// Bytes written back to client connections.
     pub bytes_written: u64,
-    /// Key lookups served from hot-shard read replicas.
-    pub replica_reads: u64,
-    /// Flat-combining batches applied.
-    pub combiner_batches: u64,
-    /// Operations appended to hot-shard operation logs.
-    pub log_appends: u64,
-    /// Shards promoted to replicated "hot" mode.
-    pub hot_promotions: u64,
-    /// Hot shards demoted back to the mutex path.
-    pub hot_demotions: u64,
     /// Entries currently stored (filled in by the store).
     pub curr_items: u64,
     /// Bytes currently accounted (filled in by the store).
@@ -163,11 +141,6 @@ impl StoreStats {
             get_batch_hist,
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
-            replica_reads: self.replica_reads.load(Ordering::Relaxed),
-            combiner_batches: self.combiner_batches.load(Ordering::Relaxed),
-            log_appends: self.log_appends.load(Ordering::Relaxed),
-            hot_promotions: self.hot_promotions.load(Ordering::Relaxed),
-            hot_demotions: self.hot_demotions.load(Ordering::Relaxed),
             curr_items,
             bytes,
         }
@@ -208,11 +181,6 @@ impl StatsSnapshot {
             ),
             ("bytes_read".into(), self.bytes_read.to_string()),
             ("bytes_written".into(), self.bytes_written.to_string()),
-            ("replica_reads".into(), self.replica_reads.to_string()),
-            ("combiner_batches".into(), self.combiner_batches.to_string()),
-            ("log_appends".into(), self.log_appends.to_string()),
-            ("hot_promotions".into(), self.hot_promotions.to_string()),
-            ("hot_demotions".into(), self.hot_demotions.to_string()),
             ("curr_items".into(), self.curr_items.to_string()),
             ("bytes".into(), self.bytes.to_string()),
         ];
@@ -302,36 +270,6 @@ mod tests {
     }
 
     #[test]
-    fn replication_counters_round_trip_through_stat_lines() {
-        let s = StoreStats::default();
-        s.replica_reads.fetch_add(11, Ordering::Relaxed);
-        s.combiner_batches.fetch_add(3, Ordering::Relaxed);
-        s.log_appends.fetch_add(17, Ordering::Relaxed);
-        s.hot_promotions.fetch_add(2, Ordering::Relaxed);
-        s.hot_demotions.fetch_add(1, Ordering::Relaxed);
-        let snap = s.snapshot(0, 0);
-        assert_eq!(snap.replica_reads, 11);
-        assert_eq!(snap.combiner_batches, 3);
-        assert_eq!(snap.log_appends, 17);
-        assert_eq!(snap.hot_promotions, 2);
-        assert_eq!(snap.hot_demotions, 1);
-
-        let lines = snap.stat_lines();
-        let lookup = |name: &str| -> String {
-            lines
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| v.clone())
-                .unwrap_or_else(|| panic!("missing stat line {name}"))
-        };
-        assert_eq!(lookup("replica_reads"), "11");
-        assert_eq!(lookup("combiner_batches"), "3");
-        assert_eq!(lookup("log_appends"), "17");
-        assert_eq!(lookup("hot_promotions"), "2");
-        assert_eq!(lookup("hot_demotions"), "1");
-    }
-
-    #[test]
     fn stat_lines_complete() {
         let lines = StatsSnapshot::default().stat_lines();
         let names: Vec<&str> = lines.iter().map(|(n, _)| n.as_str()).collect();
@@ -349,11 +287,6 @@ mod tests {
             "arith_non_numeric",
             "bytes_read",
             "bytes_written",
-            "replica_reads",
-            "combiner_batches",
-            "log_appends",
-            "hot_promotions",
-            "hot_demotions",
             "get_batch_le_1",
             "get_batch_gt_128",
         ] {

@@ -9,6 +9,10 @@
 //! per-connection command loop must perform **zero** allocator calls,
 //! as long as values fit the pooled buffers.
 //!
+//! The guarantee is checked on an 8-shard store and on a 1-shard store
+//! warmed past 64Ki store accesses, so a store whose single shard takes
+//! all the traffic for a long run serves exactly like a wide one.
+//!
 //! Kept to a single `#[test]` so no sibling test thread muddies the
 //! warm-up ordering.
 
@@ -20,6 +24,11 @@ use std::io::Cursor;
 static ALLOC: AllocCounterSystem = AllocCounterSystem;
 
 const VALUE_LEN: usize = 16;
+
+/// `(shard count, warm-up passes)`. One pass makes 100 store accesses
+/// (a 20-key multi-get, then a 2-key get and two sets per key), so 700
+/// passes carry the 1-shard store past 64Ki accesses.
+const SHARD_CASES: [(usize, usize); 2] = [(8, 2), (1, 700)];
 
 /// A pipelined traffic script: multi-gets of several shapes interleaved
 /// with same-length `set` overwrites of existing keys — the steady-state
@@ -48,42 +57,44 @@ fn traffic_script(keys: &[String]) -> Vec<u8> {
 
 #[test]
 fn steady_state_serving_does_not_allocate() {
-    let store = Store::with_shards(1 << 22, 8);
-    let keys: Vec<String> = (0..20).map(|i| format!("key-{i}")).collect();
-    for k in &keys {
-        store.set(k.as_bytes(), &[b'0'; VALUE_LEN], 0, false);
-    }
-    let script = traffic_script(&keys);
-    let mut scratch = ConnScratch::new();
+    for (shards, warm_passes) in SHARD_CASES {
+        let store = Store::with_shards(1 << 22, shards);
+        let keys: Vec<String> = (0..20).map(|i| format!("key-{i}")).collect();
+        for k in &keys {
+            store.set(k.as_bytes(), &[b'0'; VALUE_LEN], 0, false);
+        }
+        let script = traffic_script(&keys);
+        let mut scratch = ConnScratch::new();
 
-    // Warm-up: grows every pooled buffer to the script's steady-state
-    // shape (and leaves each value's Arc at refcount 1).
-    for _ in 0..2 {
-        let mut reader = Cursor::new(&script[..]);
-        serve_connection(&store, &mut reader, &mut std::io::sink(), &mut scratch)
-            .expect("serve over in-memory transport");
-    }
-    let warm_stats = store.stats();
-    assert!(warm_stats.hits > 0 && warm_stats.misses > 0 && warm_stats.sets > 0);
-
-    // Steady state: replaying the same traffic must not touch the
-    // allocator at all — no allocs, no reallocs, no deallocs.
-    for round in 0..5 {
-        let mut reader = Cursor::new(&script[..]);
-        let ((allocs, reallocs, deallocs), result) = count_alloc(|| {
+        // Warm-up: grows every pooled buffer to the script's steady-state
+        // shape (and leaves each value's Arc at refcount 1).
+        for _ in 0..warm_passes {
+            let mut reader = Cursor::new(&script[..]);
             serve_connection(&store, &mut reader, &mut std::io::sink(), &mut scratch)
-        });
-        result.expect("serve over in-memory transport");
-        assert_eq!(
-            (allocs, reallocs, deallocs),
-            (0, 0, 0),
-            "round {round}: the command loop touched the allocator"
-        );
-    }
+                .expect("serve over in-memory transport");
+        }
+        let warm_stats = store.stats();
+        assert!(warm_stats.hits > 0 && warm_stats.misses > 0 && warm_stats.sets > 0);
 
-    // The traffic really exercised the store both rounds.
-    let s = store.stats();
-    assert!(s.get_txns > warm_stats.get_txns);
-    assert!(s.sets > warm_stats.sets);
-    assert_eq!(s.curr_items, 20);
+        // Steady state: replaying the same traffic must not touch the
+        // allocator at all — no allocs, no reallocs, no deallocs.
+        for round in 0..5 {
+            let mut reader = Cursor::new(&script[..]);
+            let ((allocs, reallocs, deallocs), result) = count_alloc(|| {
+                serve_connection(&store, &mut reader, &mut std::io::sink(), &mut scratch)
+            });
+            result.expect("serve over in-memory transport");
+            assert_eq!(
+                (allocs, reallocs, deallocs),
+                (0, 0, 0),
+                "{shards} shard(s), round {round}: the command loop touched the allocator"
+            );
+        }
+
+        // The traffic really exercised the store every round.
+        let s = store.stats();
+        assert!(s.get_txns > warm_stats.get_txns);
+        assert!(s.sets > warm_stats.sets);
+        assert_eq!(s.curr_items, 20);
+    }
 }

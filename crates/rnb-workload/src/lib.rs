@@ -9,8 +9,8 @@
 //!   request is `M` distinct items drawn uniformly and independently from
 //!   the universe — [`mc::UniformRequests`].
 //! * **Zipf-skewed requests**: the same shape with item popularity
-//!   following a Zipf law — [`zipf::ZipfRequests`] — the contention
-//!   workload that exercises the store's hot-shard replication path.
+//!   following a Zipf law — [`zipf::ZipfRequests`] — the skewed
+//!   workload behind the cluster's hot-key scenarios.
 //!
 //! Plus two transformations:
 //!
