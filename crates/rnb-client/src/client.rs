@@ -1,34 +1,25 @@
 //! The client proper.
 
-use crate::keys::item_key;
+use crate::keys::{item_key, push_item_key};
 use crate::stats::ClientStats;
 use rnb_core::{
-    Bundler, PlacementStrategy, PlanScratch, RnbConfig, WriteBatchPlanner, WriteGroup,
-    WritePlanner, WritePolicy,
+    Bundler, FetchPlan, PlacementStrategy, PlanScratch, ReadSession, RnbConfig, WriteBatchPlanner,
+    WriteGroup, WritePlanner, WritePolicy,
 };
-use rnb_hash::{ItemId, Placement, ServerId};
+use rnb_hash::{ItemId, Placement};
 use rnb_store::{StorageOp, StoreClient};
-use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
 
-/// Configuration of a deployed RnB client.
+/// Configuration of a deployed RnB client. Reads always bundle,
+/// hitchhike, write back recovered misses and pipeline each round.
 #[derive(Debug, Clone)]
 pub struct RnbClientConfig {
     /// Placement and bundling configuration (server count must match the
     /// address list handed to [`RnbClient::connect`]).
     pub rnb: RnbConfig,
-    /// Append hitchhikers to planned transactions (§III-C2).
-    pub hitchhiking: bool,
-    /// Write recovered misses back to the planned replica (§III-C2).
-    pub writeback: bool,
     /// How `set` propagates to replicas (§III-G / §IV).
     pub write_policy: WritePolicy,
-    /// Pipeline the bundled read rounds: issue every transaction of a
-    /// round before reading any reply, so round latency is one RTT
-    /// instead of the sum of per-server RTTs. Off = the sequential
-    /// send-then-recv-per-server path (kept for differential testing).
-    pub pipeline: bool,
 }
 
 impl RnbClientConfig {
@@ -38,34 +29,13 @@ impl RnbClientConfig {
     pub fn new(replication: usize) -> Self {
         RnbClientConfig {
             rnb: RnbConfig::new(1, replication), // server count fixed at connect()
-            hitchhiking: true,
-            writeback: true,
             write_policy: WritePolicy::WriteAll,
-            pipeline: true,
         }
     }
 
     /// Builder-style write-policy override.
     pub fn with_write_policy(mut self, policy: WritePolicy) -> Self {
         self.write_policy = policy;
-        self
-    }
-
-    /// Builder-style hitchhiking toggle.
-    pub fn with_hitchhiking(mut self, on: bool) -> Self {
-        self.hitchhiking = on;
-        self
-    }
-
-    /// Builder-style write-back toggle.
-    pub fn with_writeback(mut self, on: bool) -> Self {
-        self.writeback = on;
-        self
-    }
-
-    /// Builder-style pipelining toggle.
-    pub fn with_pipeline(mut self, on: bool) -> Self {
-        self.pipeline = on;
         self
     }
 }
@@ -87,23 +57,6 @@ impl ServerConn {
         })
     }
 
-    /// The connection for the next operation, reconnecting lazily if a
-    /// previous error marked it broken. The bool reports whether a
-    /// reconnect happened (for [`ClientStats::reconnects`]).
-    fn ready(&mut self) -> io::Result<(&mut StoreClient, bool)> {
-        let reconnected = self.conn.is_none();
-        if self.conn.is_none() {
-            self.conn = Some(StoreClient::connect(self.addr)?);
-        }
-        match self.conn.as_mut() {
-            Some(conn) => Ok((conn, reconnected)),
-            None => Err(io::Error::new(
-                io::ErrorKind::NotConnected,
-                "connection unavailable",
-            )),
-        }
-    }
-
     /// The live connection, if any — used by pipelined receive phases,
     /// which must read from the exact connection that sent (a reconnect
     /// there would wait for a reply that was never requested).
@@ -117,19 +70,21 @@ impl ServerConn {
     }
 }
 
-/// Borrow-splitting helper: fetch (lazily reconnecting) the connection
-/// for `server` while `stats` counts the reconnect. A free function so
-/// `multi_get` can call it while holding borrows of the planner fields.
+/// The connection for `server`, redialed lazily if an error marked it
+/// broken (counted in [`ClientStats::reconnects`]). A free function so
+/// callers can hold borrows of the other client fields.
 fn conn_for<'a>(
     conns: &'a mut [ServerConn],
     stats: &mut ClientStats,
     server: usize,
 ) -> io::Result<&'a mut StoreClient> {
-    let (conn, reconnected) = conns[server].ready()?;
-    if reconnected {
+    let slot = &mut conns[server];
+    if slot.conn.is_none() {
+        slot.conn = Some(StoreClient::connect(slot.addr)?);
         stats.reconnects += 1;
     }
-    Ok(conn)
+    let broken = || io::Error::new(io::ErrorKind::NotConnected, "connection unavailable");
+    slot.conn.as_mut().ok_or_else(broken)
 }
 
 /// Execute one phase of a bundled write batch: send every group's burst
@@ -178,21 +133,102 @@ fn run_write_bursts(
     }
 }
 
-/// One read-round transaction materialized for the wire: target server,
-/// planned-item prefix length, items (planned first, hitchhikers
-/// after), and their encoded keys.
-type WireTxn = (ServerId, usize, Vec<ItemId>, Vec<Vec<u8>>);
+/// Pooled wire keys of one read round, encoded back to back: key `i`
+/// ends at `ends[i]`.
+#[derive(Default)]
+struct RoundBuf {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+/// Execute the current round of `session` over the wire: send every
+/// transaction before reading any reply (a round costs one RTT, not the
+/// sum of per-server RTTs), then report each reply and keep every newly
+/// delivered value in `values`.
+///
+/// An I/O error is not fatal: the session routes a failed transaction's
+/// items to the next fallback round — RnB's replication doubles as
+/// availability (the paper's remark that memcached-tier "data loss … is
+/// usually tolerable" becomes "server loss is tolerable" once every item
+/// has k homes). The failing connection is marked broken: the stream may
+/// be desynced, so later rounds must redial instead of reusing it.
+fn run_read_round(
+    conns: &mut [ServerConn],
+    stats: &mut ClientStats,
+    session: &mut ReadSession,
+    values: &mut [Option<Vec<u8>>],
+    buf: &mut RoundBuf,
+) {
+    buf.bytes.clear();
+    buf.ends.clear();
+    for &item in session.txns().iter().flat_map(|t| &t.items) {
+        push_item_key(item, &mut buf.bytes);
+        buf.ends.push(buf.bytes.len());
+    }
+    let mut keys: Vec<&[u8]> = Vec::with_capacity(buf.ends.len());
+    let mut start = 0;
+    for &end in &buf.ends {
+        keys.push(buf.bytes.get(start..end).unwrap_or_default());
+        start = end;
+    }
+
+    // Transaction `t`'s keys start at `first`, the sum of the earlier
+    // transactions' lengths.
+    let n = session.txns().len();
+    let mut first = 0;
+    for t in 0..n {
+        let txn = &session.txns()[t];
+        let (s, len) = (txn.server as usize, txn.items.len());
+        let txn_keys = keys.get(first..first + len).unwrap_or_default();
+        first += len;
+        if conn_for(conns, stats, s)
+            .and_then(|c| c.send_get_multi(txn_keys))
+            .is_err()
+        {
+            conns[s].mark_broken();
+            session.fail(t);
+        }
+    }
+    first = 0;
+    for t in 0..n {
+        let txn = &session.txns()[t];
+        let (s, len) = (txn.server as usize, txn.items.len());
+        let txn_keys = keys.get(first..first + len).unwrap_or_default();
+        first += len;
+        // A round holds at most one transaction per server, so a broken
+        // connection here is one whose send failed and was reported.
+        let Some(conn) = conns[s].active() else {
+            continue;
+        };
+        let Ok(reply) = conn.recv_get_multi(txn_keys) else {
+            conns[s].mark_broken();
+            session.fail(t);
+            continue;
+        };
+        for (pos, value) in reply.into_iter().enumerate() {
+            if let Some(slot) = session.record(t, pos, value.is_some()) {
+                values[slot] = value.map(|(data, _flags)| data);
+            }
+        }
+    }
+}
 
 /// A connected RnB deployment client.
 pub struct RnbClient {
     conns: Vec<ServerConn>,
     bundler: Bundler<PlacementStrategy>,
     writer: WritePlanner<PlacementStrategy>,
-    config: RnbClientConfig,
     stats: ClientStats,
-    /// Pooled planning buffers, reused across `multi_get` calls so the
-    /// per-request cover computation is allocation-free at steady state.
+    /// Pooled planning buffers and plan, reused across `multi_get` calls
+    /// so the per-request cover computation is allocation-free at steady
+    /// state.
     scratch: PlanScratch,
+    plan: FetchPlan,
+    /// The shared read-round engine (pooled the same way), the value
+    /// delivered for each of its slots, and the wire buffers.
+    session: ReadSession,
+    values: Vec<Option<Vec<u8>>>,
+    round: RoundBuf,
     /// Pooled write-batch planner, reused across `multi_set` calls
     /// (same steady-state discipline as `scratch`, on the write side).
     batcher: WriteBatchPlanner,
@@ -219,9 +255,12 @@ impl RnbClient {
             conns,
             bundler,
             writer,
-            config,
             stats: ClientStats::default(),
             scratch: PlanScratch::new(),
+            plan: FetchPlan::default(),
+            session: ReadSession::default(),
+            values: Vec::new(),
+            round: RoundBuf::default(),
             batcher: WriteBatchPlanner::new(),
         })
     }
@@ -258,243 +297,58 @@ impl RnbClient {
         &self.bundler
     }
 
-    /// Fetch `items` with full RnB treatment. Returns one entry per input
-    /// position; `None` means no server (including the distinguished
-    /// copy) holds the item.
+    /// Fetch `items` with full RnB treatment: the bundled plan with
+    /// hitchhikers, the distinguished-copy fallback round, the survivor
+    /// sweep over dead servers, and write-back of recovered misses, each
+    /// round pipelined. Returns one entry per input position; `None`
+    /// means no server (including the distinguished copy) holds the item.
     pub fn multi_get(&mut self, items: &[ItemId]) -> io::Result<Vec<Option<Vec<u8>>>> {
-        let plan = self.bundler.plan_with(&mut self.scratch, items);
+        self.bundler
+            .plan_into(&mut self.scratch, items, &mut self.plan);
         let placement = self.bundler.placement();
-
-        // Hitchhikers per transaction.
-        let txn_of_server: HashMap<ServerId, usize> = plan
-            .transactions
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.server, i))
-            .collect();
-        let mut extras: Vec<Vec<ItemId>> = vec![Vec::new(); plan.transactions.len()];
-        if self.config.hitchhiking {
-            let mut reps = Vec::new();
-            for (ti, txn) in plan.transactions.iter().enumerate() {
-                for &item in &txn.items {
-                    placement.replicas_into(item, &mut reps);
-                    for &s in &reps {
-                        if let Some(&tj) = txn_of_server.get(&s) {
-                            if tj != ti && !extras[tj].contains(&item) {
-                                extras[tj].push(item);
-                            }
-                        }
-                    }
-                }
-            }
+        let (session, stats) = (&mut self.session, &mut self.stats);
+        session.begin(&self.plan, placement, true);
+        self.values.clear();
+        self.values.resize_with(items.len(), || None); // at least one per slot
+        while session.next_round(placement).is_some() {
+            run_read_round(
+                &mut self.conns,
+                stats,
+                session,
+                &mut self.values,
+                &mut self.round,
+            );
         }
 
-        // Round 1. An I/O error on a transaction (server down) is not
-        // fatal: its planned items fall through to the fallback rounds —
-        // RnB's replication doubles as availability (the paper's remark
-        // that memcached-tier "data loss … is usually tolerable" becomes
-        // "server loss is tolerable" once every item has k homes). The
-        // failing connection is marked broken: the stream may be
-        // desynced, so later rounds must not reuse it.
-        let mut found: HashMap<ItemId, Vec<u8>> = HashMap::new();
-        let mut missed: Vec<(ItemId, ServerId)> = Vec::new();
-        // Planned items first, hitchhikers after, so `planned` is a
-        // prefix length.
-        let round1: Vec<WireTxn> = plan
-            .transactions
-            .iter()
-            .enumerate()
-            .map(|(ti, txn)| {
-                let all_items: Vec<ItemId> =
-                    txn.items.iter().chain(extras[ti].iter()).copied().collect();
-                let keys: Vec<Vec<u8>> = all_items.iter().map(|&i| item_key(i)).collect();
-                (txn.server, txn.items.len(), all_items, keys)
-            })
-            .collect();
-        let mut sent = vec![false; round1.len()];
-        if self.config.pipeline {
-            // Send every round-1 transaction before reading any reply:
-            // round latency is one RTT, not the sum of per-server RTTs.
-            for (ti, (server, planned, all_items, keys)) in round1.iter().enumerate() {
-                let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-                self.stats.round1_txns += 1;
-                let s = *server as usize;
-                match conn_for(&mut self.conns, &mut self.stats, s)
-                    .and_then(|c| c.send_get_multi(&refs))
-                {
-                    Ok(()) => sent[ti] = true,
-                    Err(_) => {
-                        self.conns[s].mark_broken();
-                        self.stats.failed_txns += 1;
-                        missed.extend(all_items[..*planned].iter().map(|&i| (i, *server)));
-                    }
-                }
-            }
-        }
-        for (ti, (server, planned, all_items, keys)) in round1.iter().enumerate() {
-            let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-            let s = *server as usize;
-            let values = if self.config.pipeline {
-                if !sent[ti] {
-                    continue; // already recorded as failed at send time
-                }
-                match self.conns[s].active() {
-                    Some(c) => c.recv_get_multi(&refs),
-                    // A later send on the same server broke the conn;
-                    // treat this pending reply as lost.
-                    None => Err(io::Error::new(io::ErrorKind::NotConnected, "conn broken")),
-                }
-            } else {
-                self.stats.round1_txns += 1;
-                conn_for(&mut self.conns, &mut self.stats, s).and_then(|c| c.get_multi(&refs))
-            };
-            match values {
-                Ok(values) => {
-                    for (idx, (&item, value)) in all_items.iter().zip(values).enumerate() {
-                        match value {
-                            Some((data, _flags)) => {
-                                found.entry(item).or_insert(data);
-                            }
-                            None => {
-                                if idx < *planned {
-                                    missed.push((item, *server));
-                                }
-                            }
-                        }
-                    }
-                }
-                Err(_) => {
-                    self.conns[s].mark_broken();
-                    self.stats.failed_txns += 1;
-                    missed.extend(all_items[..*planned].iter().map(|&i| (i, *server)));
-                }
-            }
-        }
-
-        // Misses not rescued by hitchhikers → bundled distinguished
-        // fallback (§III-D), also pipelined (the distinguished servers
-        // are distinct by construction).
-        let mut second: HashMap<ServerId, Vec<ItemId>> = HashMap::new();
-        for &(item, _) in &missed {
-            if !found.contains_key(&item) {
-                second
-                    .entry(placement.distinguished(item))
-                    .or_default()
-                    .push(item);
-            }
-        }
-        self.stats.planned_misses += missed.len() as u64;
-        self.stats.rescued_by_hitchhikers +=
-            missed.iter().filter(|(i, _)| found.contains_key(i)).count() as u64;
-        let mut second: Vec<(ServerId, Vec<ItemId>)> = second.into_iter().collect();
-        second.sort_unstable_by_key(|(s, _)| *s);
-        let second_keys: Vec<Vec<Vec<u8>>> = second
-            .iter()
-            .map(|(_, items)| items.iter().map(|&i| item_key(i)).collect())
-            .collect();
-        let mut third: Vec<ItemId> = Vec::new();
-        let mut second_sent = vec![false; second.len()];
-        if self.config.pipeline {
-            for (si, (server, items)) in second.iter().enumerate() {
-                let refs: Vec<&[u8]> = second_keys[si].iter().map(|k| k.as_slice()).collect();
-                self.stats.round2_txns += 1;
-                let s = *server as usize;
-                match conn_for(&mut self.conns, &mut self.stats, s)
-                    .and_then(|c| c.send_get_multi(&refs))
-                {
-                    Ok(()) => second_sent[si] = true,
-                    Err(_) => {
-                        self.conns[s].mark_broken();
-                        self.stats.failed_txns += 1;
-                        third.extend_from_slice(items);
-                    }
-                }
-            }
-        }
-        for (si, (server, items)) in second.iter().enumerate() {
-            let refs: Vec<&[u8]> = second_keys[si].iter().map(|k| k.as_slice()).collect();
-            let s = *server as usize;
-            let values = if self.config.pipeline {
-                if !second_sent[si] {
-                    continue;
-                }
-                match self.conns[s].active() {
-                    Some(c) => c.recv_get_multi(&refs),
-                    None => Err(io::Error::new(io::ErrorKind::NotConnected, "conn broken")),
-                }
-            } else {
-                self.stats.round2_txns += 1;
-                conn_for(&mut self.conns, &mut self.stats, s).and_then(|c| c.get_multi(&refs))
-            };
-            match values {
-                Ok(values) => {
-                    for (&item, value) in items.iter().zip(values) {
-                        if let Some((data, _)) = value {
-                            found.insert(item, data);
-                        } else {
-                            self.stats.unavailable_items += 1;
-                        }
-                    }
-                }
-                Err(_) => {
-                    // Even the distinguished server is down: survivor
-                    // round over the remaining replicas.
-                    self.conns[s].mark_broken();
-                    self.stats.failed_txns += 1;
-                    third.extend_from_slice(items);
-                }
-            }
-        }
-
-        // Round 3 (failure path only): per-item sweep over surviving
-        // replicas. Lazy reconnection matters here — a restarted server
-        // is dialed fresh instead of erroring forever on a dead stream.
-        for item in third {
-            let key = item_key(item);
-            let mut got = None;
-            for server in placement.replicas(item) {
-                self.stats.round3_txns += 1;
-                let s = server as usize;
-                match conn_for(&mut self.conns, &mut self.stats, s)
-                    .and_then(|c| c.get_multi(&[&key]))
-                {
-                    Ok(values) => {
-                        if let Some((data, _)) = values.into_iter().next().flatten() {
-                            got = Some(data);
-                            break;
-                        }
-                    }
-                    Err(_) => self.conns[s].mark_broken(),
-                }
-            }
-            match got {
-                Some(data) => {
-                    found.insert(item, data);
-                }
-                None => self.stats.unavailable_items += 1,
-            }
-        }
-
-        // Write-back recovered misses to their planned replica server.
+        // Write recovered misses back to their planned replica server.
         // A write error is tolerated (the server may be the dead one)
         // but still marks the connection broken — reusing it would
         // desync the next round's replies.
-        if self.config.writeback {
-            for (item, server) in missed {
-                let s = server as usize;
-                if let Some(data) = found.get(&item) {
-                    match conn_for(&mut self.conns, &mut self.stats, s)
-                        .and_then(|c| c.set(&item_key(item), data, 0))
-                    {
-                        Ok(()) => self.stats.writebacks += 1,
-                        Err(_) => self.conns[s].mark_broken(),
-                    }
-                }
+        for (slot, item, server) in session.writebacks() {
+            let Some(Some(data)) = self.values.get(slot) else {
+                continue;
+            };
+            let s = server as usize;
+            match conn_for(&mut self.conns, stats, s).and_then(|c| c.set(&item_key(item), data, 0))
+            {
+                Ok(()) => stats.writebacks += 1,
+                Err(_) => self.conns[s].mark_broken(),
             }
         }
 
-        self.stats.requests += 1;
-        Ok(items.iter().map(|i| found.get(i).cloned()).collect())
+        let counts = session.counts();
+        stats.requests += 1;
+        stats.round1_txns += counts.round1_txns as u64;
+        stats.round2_txns += counts.round2_txns as u64;
+        stats.round3_txns += counts.round3_txns as u64;
+        stats.planned_misses += counts.planned_misses as u64;
+        stats.rescued_by_hitchhikers += counts.rescued as u64;
+        stats.unavailable_items += counts.unavailable as u64;
+        stats.failed_txns += counts.failed_txns as u64;
+        Ok(items
+            .iter()
+            .map(|&item| self.values.get(session.slot_of(item)?)?.clone())
+            .collect())
     }
 
     /// Run `op` on the connection for `server` (reconnecting lazily
@@ -545,21 +399,14 @@ impl RnbClient {
     /// ordering invariant holds batch-wide: no stale replica outlives
     /// its item's distinguished write.
     ///
-    /// Duplicate items keep batch order (later value wins), and with
-    /// pipelining disabled this degrades to the sequential
-    /// [`RnbClient::set`] loop — the differential oracle for the TCP
-    /// equivalence proptest. I/O errors follow `multi_get`'s failure
-    /// semantics (broken connections are marked and redialed lazily,
+    /// Duplicate items keep batch order (later value wins), so the final
+    /// state equals a sequential [`RnbClient::set`] loop — the oracle of
+    /// the TCP equivalence proptest. I/O errors follow `multi_get`'s
+    /// failure semantics (broken connections are marked and redialed lazily,
     /// failed bursts counted in [`ClientStats::failed_txns`]); the first
     /// error is returned after every burst has completed, so a partial
     /// failure never desyncs the surviving connections.
     pub fn multi_set<V: AsRef<[u8]>>(&mut self, entries: &[(ItemId, V)]) -> io::Result<()> {
-        if !self.config.pipeline {
-            for (item, value) in entries {
-                self.set(*item, value.as_ref())?;
-            }
-            return Ok(());
-        }
         let RnbClient {
             conns,
             writer,
@@ -673,14 +520,9 @@ mod tests {
 
     #[test]
     fn config_builders() {
-        let c = RnbClientConfig::new(3)
-            .with_write_policy(WritePolicy::InvalidateThenWrite)
-            .with_hitchhiking(false)
-            .with_writeback(false);
+        let c = RnbClientConfig::new(3).with_write_policy(WritePolicy::InvalidateThenWrite);
         assert_eq!(c.rnb.replication, 3);
         assert_eq!(c.write_policy, WritePolicy::InvalidateThenWrite);
-        assert!(!c.hitchhiking);
-        assert!(!c.writeback);
     }
 
     #[test]

@@ -4,7 +4,16 @@ use rnb_hash::ItemId;
 
 /// The wire key of an item id (`item:<decimal>`).
 pub fn item_key(item: ItemId) -> Vec<u8> {
-    format!("item:{item}").into_bytes()
+    let mut key = Vec::new();
+    push_item_key(item, &mut key);
+    key
+}
+
+/// Append the wire key of `item` to `out` (no allocation once `out` has
+/// room).
+pub(crate) fn push_item_key(item: ItemId, out: &mut Vec<u8>) {
+    // Writing into a `Vec<u8>` cannot fail.
+    let _ = std::io::Write::write_fmt(out, format_args!("item:{item}"));
 }
 
 /// Parse a wire key back to an item id (for tooling and tests).

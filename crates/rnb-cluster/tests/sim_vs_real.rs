@@ -1,14 +1,13 @@
 //! Differential test: the same (topology, workload, seed) cell run
 //! through `rnb-sim` and through a real process fleet must agree on
-//! transactions-per-request.
+//! transactions exactly.
 //!
-//! Both sides share the planner (`rnb_core::Bundler`) and the placement
-//! config, and both run with ample memory and a fully resident universe,
-//! so neither should see planned misses — TPR reduces to the mean greedy
-//! cover size on an identical request sequence and the two numbers
-//! should match to within rounding. The declared tolerance (2% relative)
-//! leaves room for benign divergence (e.g. a future sim-side policy
-//! default) while still catching real sim/real drift permanently.
+//! Both sides share the planner (`rnb_core::Bundler`), the placement
+//! config and the read-round engine (`rnb_core::ReadSession`), and both
+//! run with ample memory and a fully resident universe, so neither sees
+//! a planned miss: identical requests give identical plans and identical
+//! rounds, and the simulator's total transaction count must equal the
+//! client's rounds 1–3 total, not merely come close.
 
 use rnb_client::{RnbClient, RnbClientConfig};
 use rnb_cluster::{Cluster, NodeConfig};
@@ -21,8 +20,6 @@ const UNIVERSE: u64 = 512;
 const REQUEST_SIZE: usize = 8;
 const SEED: u64 = 0xD1FF;
 const REQUESTS: usize = 256;
-/// Declared sim-vs-real TPR tolerance (relative).
-const TOLERANCE: f64 = 0.02;
 
 #[test]
 fn sim_and_real_cluster_agree_on_tpr() {
@@ -35,7 +32,6 @@ fn sim_and_real_cluster_agree_on_tpr() {
         UNIVERSE as usize,
         &mut stream,
     );
-    let sim_tpr = metrics.tpr();
     assert_eq!(metrics.planned_misses, 0, "unlimited sim memory");
 
     // Real side: same placement config (server count, hash, seed), same
@@ -61,10 +57,12 @@ fn sim_and_real_cluster_agree_on_tpr() {
     assert_eq!(d.requests, REQUESTS as u64);
     assert_eq!(d.unavailable_items, 0, "fully populated fleet");
     assert_eq!(d.failed_txns, 0, "healthy fleet");
-    let real_tpr = d.tpr();
-    assert!(
-        (real_tpr - sim_tpr).abs() <= TOLERANCE * sim_tpr,
-        "sim/real TPR drift: sim {sim_tpr:.4} vs real {real_tpr:.4} \
-         (tolerance {TOLERANCE})"
+    assert_eq!(d.planned_misses, 0, "fully populated fleet");
+    assert_eq!(
+        metrics.round1_txns + metrics.round2_txns,
+        d.round1_txns + d.round2_txns + d.round3_txns,
+        "sim/real transaction drift: sim TPR {:.4} vs real {:.4}",
+        metrics.tpr(),
+        d.tpr()
     );
 }

@@ -154,7 +154,9 @@ impl<P: Placement> Bundler<P> {
     /// assert!(plan.planned_items() > 2);   // …and each round-trip bundles
     /// ```
     pub fn plan_budget(&self, request: &[ItemId], max_transactions: usize) -> FetchPlan {
-        self.plan_budget_with(&mut PlanScratch::new(), request, max_transactions)
+        let mut out = FetchPlan::default();
+        self.plan_budget_into(&mut PlanScratch::new(), request, max_transactions, &mut out);
+        out
     }
 
     /// [`Bundler::plan`] reusing `scratch`'s pooled buffers.
@@ -191,27 +193,6 @@ impl<P: Placement> Bundler<P> {
     ) -> FetchPlan {
         let mut out = FetchPlan::default();
         self.plan_limit_into(scratch, request, min_items, &mut out);
-        out
-    }
-
-    /// [`Bundler::plan_budget`] reusing `scratch`'s pooled buffers.
-    ///
-    /// ```
-    /// use rnb_core::{Bundler, PlanScratch, RnbConfig};
-    /// let bundler = Bundler::from_config(&RnbConfig::new(16, 3));
-    /// let mut scratch = PlanScratch::new();
-    /// let request: Vec<u64> = (0..30).collect();
-    /// let plan = bundler.plan_budget_with(&mut scratch, &request, 3);
-    /// assert!(plan.tpr() <= 3);
-    /// ```
-    pub fn plan_budget_with(
-        &self,
-        scratch: &mut PlanScratch,
-        request: &[ItemId],
-        max_transactions: usize,
-    ) -> FetchPlan {
-        let mut out = FetchPlan::default();
-        self.plan_budget_into(scratch, request, max_transactions, &mut out);
         out
     }
 
@@ -611,7 +592,8 @@ mod tests {
             assert_eq!(full.transactions, b.plan(request).transactions);
             let lim = b.plan_limit_with(&mut scratch, request, 10);
             assert_eq!(lim.transactions, b.plan_limit(request, 10).transactions);
-            let bud = b.plan_budget_with(&mut scratch, request, 3);
+            let mut bud = FetchPlan::default();
+            b.plan_budget_into(&mut scratch, request, 3, &mut bud);
             assert_eq!(bud.transactions, b.plan_budget(request, 3).transactions);
         }
         // plan_into reuses the output plan's transaction buffers too.

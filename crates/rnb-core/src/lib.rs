@@ -35,6 +35,9 @@
 //! * [`plan`] — [`FetchPlan`] / [`Transaction`] plus TPR accounting.
 //! * [`baseline`] — full-system replication (§II-C, the industry baseline).
 //! * [`merge`] — cross-request merging (§III-E).
+//! * [`read`] — [`ReadSession`]: the sans-I/O read-round engine
+//!   (hitchhiking, distinguished-copy fallback, survivor sweep, write-back)
+//!   that both the simulator and the deployed client drive.
 //! * [`mod@write`] — write-path planning and the §IV atomic-update scheme.
 
 pub mod baseline;
@@ -43,6 +46,7 @@ pub mod config;
 pub mod merge;
 pub mod placement;
 pub mod plan;
+pub mod read;
 pub mod write;
 
 pub use baseline::FullSystemReplication;
@@ -50,6 +54,7 @@ pub use bundler::{Bundler, PlanScratch};
 pub use config::{PlacementKind, RnbConfig};
 pub use placement::PlacementStrategy;
 pub use plan::{FetchPlan, Transaction};
+pub use read::{ReadCounts, ReadSession, ReadTxn, Round};
 pub use write::{
     BatchWritePlan, WriteBatchPlanner, WriteGroup, WritePlan, WritePlanner, WritePolicy,
 };

@@ -147,54 +147,6 @@ impl<P: Placement> WritePlanner<P> {
             },
         }
     }
-
-    /// Plan a batch of writes, bundling same-server operations of the
-    /// same kind into one transaction each (memcached pipelining; the
-    /// delete→write ordering barrier is preserved per batch).
-    ///
-    /// ```
-    /// use rnb_core::{PlacementStrategy, RnbConfig, WritePlanner, WritePolicy};
-    /// let planner = WritePlanner::new(
-    ///     PlacementStrategy::from_config(&RnbConfig::new(16, 4)),
-    ///     WritePolicy::WriteAll,
-    /// );
-    /// let items: Vec<u64> = (0..50).collect();
-    /// let batch = planner.plan_write_batch(&items);
-    /// // Bundled: at most one write transaction per server, far fewer
-    /// // than the 200 unbatched per-replica sets.
-    /// assert!(batch.writes.len() <= 16);
-    /// ```
-    pub fn plan_write_batch(&self, items: &[ItemId]) -> WritePlan {
-        let mut distinct: Vec<ItemId> = items.to_vec();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let mut invalidations: Vec<Transaction> = Vec::new();
-        let mut writes: Vec<Transaction> = Vec::new();
-        let push = |list: &mut Vec<Transaction>, server: ServerId, item: ItemId| match list
-            .iter_mut()
-            .find(|t| t.server == server)
-        {
-            Some(t) => t.items.push(item),
-            None => list.push(Transaction {
-                server,
-                items: vec![item],
-            }),
-        };
-        for &item in &distinct {
-            let single = self.plan_write(item);
-            for t in single.invalidations {
-                push(&mut invalidations, t.server, item);
-            }
-            for t in single.writes {
-                push(&mut writes, t.server, item);
-            }
-        }
-        WritePlan {
-            item: *distinct.first().unwrap_or(&0),
-            invalidations,
-            writes,
-        }
-    }
 }
 
 /// One server's bundled operations within a [`BatchWritePlan`].
@@ -471,43 +423,6 @@ mod tests {
             assert_eq!(plan.total_txns(), 1, "{policy:?}");
             assert!(plan.invalidations.is_empty());
         }
-    }
-
-    #[test]
-    fn batch_bundles_same_server_ops() {
-        let p = planner(WritePolicy::WriteAll);
-        let items: Vec<u64> = (0..50).collect();
-        let batch = p.plan_write_batch(&items);
-        // Bundled: at most one write transaction per server.
-        assert!(batch.writes.len() <= 16);
-        // Every (item, replica) pair appears exactly once.
-        let mut pairs = 0;
-        for t in &batch.writes {
-            for &item in &t.items {
-                assert!(p.placement().replicas(item).contains(&t.server));
-                pairs += 1;
-            }
-        }
-        assert_eq!(pairs, 50 * 4);
-        // Far fewer transactions than unbatched 50 × 4.
-        assert!(batch.total_txns() < 200 / 4);
-    }
-
-    #[test]
-    fn batch_dedupes_items() {
-        let p = planner(WritePolicy::InvalidateThenWrite);
-        let batch = p.plan_write_batch(&[7, 7, 7]);
-        let write_items: usize = batch.writes.iter().map(|t| t.items.len()).sum();
-        assert_eq!(write_items, 1);
-        let inval_items: usize = batch.invalidations.iter().map(|t| t.items.len()).sum();
-        assert_eq!(inval_items, 3);
-    }
-
-    #[test]
-    fn empty_batch() {
-        let p = planner(WritePolicy::WriteAll);
-        let batch = p.plan_write_batch(&[]);
-        assert_eq!(batch.total_txns(), 0);
     }
 
     /// The pooled batch planner expands to exactly the per-item

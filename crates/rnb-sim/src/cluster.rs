@@ -1,34 +1,14 @@
-//! The simulated cluster: plan execution with misses, hitchhiking and the
-//! second round of distinguished-copy fetches.
+//! The simulated cluster: simulated servers driven through the shared
+//! read-round engine (misses, hitchhiking, the second round of
+//! distinguished-copy fetches), plus the write paths.
 
 use crate::config::{DistinguishedMode, HitchhikerLru, MemoryModel, SimConfig, WritebackPolicy};
 use crate::metrics::Metrics;
 use crate::server::SimServer;
-use rnb_core::{Bundler, FetchPlan, PlacementStrategy, PlanScratch, WritePolicy};
+use rnb_core::{
+    Bundler, FetchPlan, PlacementStrategy, PlanScratch, ReadCounts, ReadSession, Round, WritePolicy,
+};
 use rnb_hash::{ItemId, Placement, ServerId};
-use std::collections::HashMap;
-
-/// Per-request execution summary (the per-request slice of [`Metrics`]).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct RequestOutcome {
-    /// Planned (round-1) transactions.
-    pub round1_txns: usize,
-    /// Second-round transactions to distinguished copies.
-    pub round2_txns: usize,
-    /// Planned fetches that missed.
-    pub planned_misses: usize,
-    /// Misses rescued by a hitchhiker hit (no round-2 fetch needed).
-    pub rescued: usize,
-    /// Items actually delivered to the user.
-    pub items_delivered: usize,
-}
-
-impl RequestOutcome {
-    /// Total transactions this request cost.
-    pub fn total_txns(&self) -> usize {
-        self.round1_txns + self.round2_txns
-    }
-}
 
 /// A simulated RnB deployment: servers + client-side bundler.
 ///
@@ -43,13 +23,13 @@ impl RequestOutcome {
 pub struct SimCluster {
     servers: Vec<SimServer>,
     bundler: Bundler<PlacementStrategy>,
-    /// Pooled planner state, reused for every request this cluster
-    /// executes (warm-up and measurement alike): after the first request
-    /// of a given shape, planning is allocation-free.
+    /// Pooled planner state, plan output and read-round engine, reused
+    /// for every request this cluster executes (warm-up and measurement
+    /// alike): after the first request of a given shape, planning and
+    /// round building are allocation-free.
     scratch: PlanScratch,
-    /// Pooled plan output paired with `scratch` (taken/restored around
-    /// each request so its transaction buffers are recycled too).
-    plan_buf: FetchPlan,
+    plan: FetchPlan,
+    session: ReadSession,
     config: SimConfig,
     universe: usize,
     metrics: Metrics,
@@ -106,7 +86,8 @@ impl SimCluster {
             servers,
             bundler,
             scratch: PlanScratch::new(),
-            plan_buf: FetchPlan::default(),
+            plan: FetchPlan::default(),
+            session: ReadSession::default(),
             config,
             universe,
             metrics: Metrics::default(),
@@ -158,139 +139,78 @@ impl SimCluster {
     }
 
     /// Execute a full request.
-    pub fn execute(&mut self, request: &[ItemId]) -> RequestOutcome {
+    pub fn execute(&mut self, request: &[ItemId]) -> ReadCounts {
         self.execute_with_limit(request, None)
     }
 
     /// Execute a LIMIT request: at least `min_items` of `request`
     /// (§III-F). `None` means fetch everything.
+    ///
+    /// The rounds come from the shared [`ReadSession`]; this driver only
+    /// plays the servers and applies the simulator's own policies: the
+    /// hitchhiker LRU policy, the write-back policy, and the database
+    /// fetch that repopulates an evicted distinguished copy under
+    /// [`DistinguishedMode::InLru`].
     pub fn execute_with_limit(
         &mut self,
         request: &[ItemId],
         min_items: Option<usize>,
-    ) -> RequestOutcome {
-        // Pooled planning: take the recycled plan buffer, fill it through
-        // the cluster's PlanScratch (zero steady-state allocations), and
-        // restore it before returning so the next request reuses it.
-        let mut plan = std::mem::take(&mut self.plan_buf);
+    ) -> ReadCounts {
         match min_items {
             None => self
                 .bundler
-                .plan_into(&mut self.scratch, request, &mut plan),
+                .plan_into(&mut self.scratch, request, &mut self.plan),
             Some(k) => self
                 .bundler
-                .plan_limit_into(&mut self.scratch, request, k, &mut plan),
+                .plan_limit_into(&mut self.scratch, request, k, &mut self.plan),
         }
         let placement = self.bundler.placement();
-
-        // Transaction index by server, for hitchhiker routing.
-        let txn_of_server: HashMap<ServerId, usize> = plan
-            .transactions
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.server, i))
-            .collect();
-
-        // Hitchhikers per transaction: planned items of *other*
-        // transactions that also have a replica on this server (§III-C2).
-        let mut hitchhikers: Vec<Vec<ItemId>> = vec![Vec::new(); plan.transactions.len()];
-        if self.config.hitchhiking {
-            let mut reps = Vec::with_capacity(self.config.logical_replication);
-            for (ti, txn) in plan.transactions.iter().enumerate() {
-                for &item in &txn.items {
-                    placement.replicas_into(item, &mut reps);
-                    for &s in &reps {
-                        if let Some(&tj) = txn_of_server.get(&s) {
-                            if tj != ti {
-                                hitchhikers[tj].push(item);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Round 1: execute each planned transaction.
-        let mut outcome = RequestOutcome {
-            round1_txns: plan.tpr(),
-            ..Default::default()
-        };
-        let mut satisfied: HashMap<ItemId, bool> = HashMap::with_capacity(plan.planned_items());
-        let mut misses: Vec<(ItemId, ServerId)> = Vec::new();
-        for (ti, txn) in plan.transactions.iter().enumerate() {
-            self.server_txns[txn.server as usize] += 1;
-            let server = &mut self.servers[txn.server as usize];
-            let mut returned = 0usize;
-            for &item in &txn.items {
-                self.metrics.planned_items += 1;
-                if server.access(item) {
-                    returned += 1;
-                    *satisfied.entry(item).or_insert(true) |= true;
-                } else {
-                    self.metrics.planned_misses += 1;
-                    outcome.planned_misses += 1;
-                    satisfied.entry(item).or_insert(false);
-                    misses.push((item, txn.server));
-                }
-            }
-            for &item in &hitchhikers[ti] {
-                self.metrics.hitchhiker_probes += 1;
-                let hit = match self.config.hitchhiker_lru {
-                    HitchhikerLru::OnHit => server.probe_hitchhiker(item),
-                    HitchhikerLru::Never => server.peek(item),
+        self.session
+            .begin(&self.plan, placement, self.config.hitchhiking);
+        while let Some(round) = self.session.next_round(placement) {
+            for t in 0..self.session.txns().len() {
+                let (server, planned, len) = {
+                    let txn = &self.session.txns()[t];
+                    (txn.server, txn.planned, txn.items.len())
                 };
-                if hit {
-                    self.metrics.hitchhiker_hits += 1;
-                    returned += 1;
-                    satisfied.insert(item, true);
+                self.server_txns[server as usize] += 1;
+                self.metrics.record_txn_size(len);
+                let srv = &mut self.servers[server as usize];
+                for pos in 0..len {
+                    let item = self.session.txns()[t].items[pos];
+                    let hit = if round != Round::Planned {
+                        // Round 2 (§III-D). Pinned distinguished copies
+                        // always hit; without the distinguished service
+                        // class (InLru) an evicted copy is refetched from
+                        // the database and repopulated. Simulated servers
+                        // never fail, so there is no survivor sweep.
+                        if !srv.access(item) {
+                            debug_assert_eq!(
+                                self.config.distinguished,
+                                DistinguishedMode::InLru,
+                                "pinned distinguished copy of {item} missing on server {server}"
+                            );
+                            self.metrics.db_fetches += 1;
+                            srv.insert_replica(item);
+                        }
+                        true
+                    } else if pos < planned {
+                        self.metrics.planned_items += 1;
+                        srv.access(item)
+                    } else {
+                        // A hitchhiker (§III-C2).
+                        self.metrics.hitchhiker_probes += 1;
+                        let hit = match self.config.hitchhiker_lru {
+                            HitchhikerLru::OnHit => srv.probe_hitchhiker(item),
+                            HitchhikerLru::Never => srv.peek(item),
+                        };
+                        self.metrics.hitchhiker_hits += u64::from(hit);
+                        hit
+                    };
+                    self.session.record(t, pos, hit);
                 }
             }
-            self.metrics
-                .record_txn_size(txn.items.len() + hitchhikers[ti].len());
-            let _ = returned;
         }
-
-        // Round 2: unsatisfied items, bundled by distinguished server
-        // (§III-D: "we performed a second round of access to fetch the
-        // items that were not found, if we did not yet fetch their
-        // distinguished copy"; distinguished copies are pinned, so the
-        // second round always succeeds).
-        let mut second_round: HashMap<ServerId, Vec<ItemId>> = HashMap::new();
-        for (&item, &ok) in &satisfied {
-            if !ok {
-                second_round
-                    .entry(placement.distinguished(item))
-                    .or_default()
-                    .push(item);
-            }
-        }
-        outcome.rescued =
-            outcome.planned_misses - second_round.values().map(Vec::len).sum::<usize>();
-        self.metrics.misses_rescued_by_hitchhikers += outcome.rescued as u64;
-        // Deterministic iteration order for reproducibility.
-        let mut second_round: Vec<(ServerId, Vec<ItemId>)> = second_round.into_iter().collect();
-        second_round.sort_unstable_by_key(|(s, _)| *s);
-        for (server, items) in &second_round {
-            self.server_txns[*server as usize] += 1;
-            let srv = &mut self.servers[*server as usize];
-            for &item in items {
-                if !srv.access(item) {
-                    // Only possible without the distinguished service
-                    // class (DistinguishedMode::InLru): the copy was
-                    // evicted, so the client falls back to the database
-                    // and repopulates the server.
-                    debug_assert_eq!(
-                        self.config.distinguished,
-                        DistinguishedMode::InLru,
-                        "pinned distinguished copy of {item} missing on server {server}"
-                    );
-                    self.metrics.db_fetches += 1;
-                    srv.insert_replica(item);
-                }
-            }
-            self.metrics.record_txn_size(items.len());
-        }
-        outcome.round2_txns = second_round.len();
 
         // Miss write-back (§III-C2): the paper refills "only … the
         // replica that was the first to be picked by the greedy set cover
@@ -299,15 +219,15 @@ impl SimCluster {
         match self.config.writeback {
             WritebackPolicy::None => {}
             WritebackPolicy::FirstPicked => {
-                for (item, server) in misses {
+                for (_, item, server) in self.session.writebacks() {
                     self.servers[server as usize].insert_replica(item);
                     self.metrics.writebacks += 1;
                 }
             }
             WritebackPolicy::AllReplicas => {
                 let mut reps = Vec::with_capacity(self.config.logical_replication);
-                for (item, _) in misses {
-                    self.bundler.placement().replicas_into(item, &mut reps);
+                for (_, item, _) in self.session.writebacks() {
+                    placement.replicas_into(item, &mut reps);
                     for &s in &reps {
                         self.servers[s as usize].insert_replica(item);
                         self.metrics.writebacks += 1;
@@ -316,12 +236,13 @@ impl SimCluster {
             }
         }
 
-        outcome.items_delivered = satisfied.len(); // round 2 fetched the rest
+        let counts = self.session.counts();
         self.metrics.requests += 1;
-        self.metrics.round1_txns += outcome.round1_txns as u64;
-        self.metrics.round2_txns += outcome.round2_txns as u64;
-        self.plan_buf = plan;
-        outcome
+        self.metrics.round1_txns += counts.round1_txns as u64;
+        self.metrics.round2_txns += counts.round2_txns as u64;
+        self.metrics.planned_misses += counts.planned_misses as u64;
+        self.metrics.misses_rescued_by_hitchhikers += counts.rescued as u64;
+        counts
     }
 
     /// Execute a write of `item` under `policy` (§III-G / §IV). Returns

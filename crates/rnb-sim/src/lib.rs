@@ -29,7 +29,7 @@ pub mod metrics;
 pub mod runner;
 pub mod server;
 
-pub use cluster::{RequestOutcome, SimCluster};
+pub use cluster::SimCluster;
 pub use config::{MemoryModel, SimConfig};
 pub use metrics::Metrics;
 pub use runner::{run_experiment, ExperimentConfig};
